@@ -30,7 +30,7 @@ fn bench_simulation(c: &mut Criterion) {
             b.iter(|| black_box(run_rounds(&net, w)))
         });
         group.bench_with_input(BenchmarkId::new("routing_tables", n), &r, |b, &r| {
-            b.iter(|| black_box(Network::new(XTree::new(r).graph().clone())))
+            b.iter(|| black_box(Network::table(XTree::new(r).graph().clone())))
         });
         group.bench_with_input(BenchmarkId::new("structured_router", n), &r, |b, &r| {
             b.iter(|| black_box(Network::xtree(&XTree::new(r))))

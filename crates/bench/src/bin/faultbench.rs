@@ -30,7 +30,8 @@ use xtree_core::metrics::heap_order_embedding;
 use xtree_core::XEmbedding;
 use xtree_json::Value;
 use xtree_sim::{
-    recover_batch, Engine, FaultPlan, FaultState, Message, Network, RecoveryEnd, RecoveryPolicy,
+    recover_batch, Engine, FaultPlan, FaultState, Host, Message, Network, RecoveryEnd,
+    RecoveryPolicy,
 };
 use xtree_topology::{Graph, XTree};
 use xtree_trees::{generate, BinaryTree};
@@ -61,7 +62,7 @@ fn run_degraded(
         delivered: 0,
     };
     for batch in rounds {
-        let mut faults = FaultState::new(net.graph(), plan.clone()).expect("plan fits its host");
+        let mut faults = FaultState::new(net.csr(), plan.clone()).expect("plan fits its host");
         let out = engine
             .run_batch_faulted(net, batch, &mut faults)
             .expect("faulted batch");
@@ -107,7 +108,7 @@ fn run_recovered(
         migrated: 0,
     };
     for batch in rounds {
-        let mut faults = FaultState::new(net.graph(), plan.clone()).expect("plan fits its host");
+        let mut faults = FaultState::new(net.csr(), plan.clone()).expect("plan fits its host");
         let mut emb = emb0.clone();
         let out = recover_batch(engine, net, tree, &mut emb, batch, &mut faults, policy)
             .expect("supervised batch");
@@ -162,7 +163,7 @@ fn main() {
                 &mut engine,
                 &net,
                 &rounds,
-                &FaultPlan::random_links(net.graph(), rate, seed, FAULT_WINDOW, Some(REPAIR_AFTER))
+                &FaultPlan::random_links(net.csr(), rate, seed, FAULT_WINDOW, Some(REPAIR_AFTER))
                     .expect("rate is a probability"),
             );
             assert_eq!(
@@ -173,7 +174,7 @@ fn main() {
                 &mut engine,
                 &net,
                 &rounds,
-                &FaultPlan::random_links(net.graph(), rate, seed, FAULT_WINDOW, None)
+                &FaultPlan::random_links(net.csr(), rate, seed, FAULT_WINDOW, None)
                     .expect("rate is a probability"),
             );
             let slowdown = repaired.cycles as f64 / clean.max(1) as f64;
@@ -183,7 +184,7 @@ fn main() {
             // with and without the supervisor. The no-retry supervised run
             // must match the bare engine exactly — recovery costs nothing
             // when it is switched off.
-            let node_plan = FaultPlan::random_nodes(net.graph(), rate, seed, FAULT_WINDOW)
+            let node_plan = FaultPlan::random_nodes(net.csr(), rate, seed, FAULT_WINDOW)
                 .expect("rate is a probability");
             let bare = run_degraded(&mut engine, &net, &rounds, &node_plan);
             let off = run_recovered(

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 use xtree_bench::seeded_batches;
 use xtree_json::Value;
-use xtree_sim::{BatchStats, Engine, Message, Network};
+use xtree_sim::{BatchStats, Engine, Host, Message, Network};
 use xtree_topology::{Graph, XTree};
 
 /// The engine as it was before this optimisation pass: per-cycle hash maps
@@ -124,7 +124,7 @@ fn main() {
 
         // The legacy pipeline only exists below the old table cap.
         let legacy = (n <= 1 << 13).then(|| {
-            let table_net = Network::new(x.graph().clone()).expect("connected host");
+            let table_net = Network::table(x.graph().clone()).expect("connected host");
             measure(&rounds, |b| run_batch_legacy(&table_net, b))
         });
 

@@ -24,7 +24,7 @@ use std::time::Instant;
 use xtree_bench::seeded_batches;
 use xtree_json::Value;
 use xtree_sim::telemetry::{AtomicCounters, MetricsSink, TraceRecorder};
-use xtree_sim::{Engine, Message, Network, SimError};
+use xtree_sim::{Engine, Host, Message, Network, SimError};
 use xtree_topology::{Csr, Graph, XTree};
 
 /// Acceptance threshold for the no-op sink: the instrumented loop may cost
@@ -58,7 +58,7 @@ struct Totals {
 
 impl Baseline {
     fn run_batch(&mut self, net: &Network, messages: &[Message]) -> Result<(u32, u64), SimError> {
-        let graph: &Csr = net.graph();
+        let graph: &Csr = net.csr();
         let links = graph.directed_edge_count();
         if self.claim_epoch.len() < links {
             self.claim_msg.resize(links, 0);

@@ -905,7 +905,7 @@ fn cmd_simulate_session(
     let emb = theorem1::embed(tree).emb;
     let net = Network::xtree(&XTree::new(emb.height));
     let plan = match faults {
-        Some(f) => f.plan(net.graph())?,
+        Some(f) => f.plan(net.csr())?,
         None => FaultPlan::new(),
     };
     let policy = rec.recover.then(|| rec.policy.clone());

@@ -103,9 +103,15 @@ pub fn mean_dilation(stats: &EmbeddingStats) -> f64 {
 
 /// Edge congestion of an embedding: route every guest edge along the
 /// deterministic shortest host path (the same smallest-id-downhill rule
-/// the simulator's routers use) and count how many such routes cross each
-/// undirected host edge; return the maximum. Together with dilation this
-/// bounds the slowdown of a one-step simulation of the guest on the host.
+/// every `xtree_host::Host` uses) and count how many such routes cross
+/// each *undirected* host edge, in either direction; return the maximum.
+/// Together with dilation this bounds the slowdown of a one-step
+/// simulation of the guest on the host.
+///
+/// `xtree_sim::congestion` walks the same routes but counts each
+/// *directed* link separately, so on the X-tree its value `c` bounds this
+/// one as `c ≤ edge_congestion ≤ 2c` (a 2032-node path: 4 directed, 7
+/// undirected). The X-tree serving reply reports this undirected count.
 ///
 /// Routes are computed hop by hop from the closed-form X-tree distance —
 /// no per-edge BFS — and counters live in a flat `Vec` indexed by

@@ -22,7 +22,7 @@ mod split;
 mod state;
 mod trace;
 
-pub use state::{BuildLog, EmbedOptions, Parallel, Theorem1Scratch};
+pub use state::{BuildLog, EmbedOptions, Theorem1Scratch};
 pub use trace::paper_bound;
 
 use crate::embedding::XEmbedding;

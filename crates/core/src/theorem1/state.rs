@@ -23,7 +23,6 @@
 //! per worker thread); the algorithm's outputs are invariant under reuse.
 
 use smallvec::SmallVec;
-use std::sync::Mutex;
 use xtree_topology::Address;
 use xtree_trees::{BinaryTree, NodeId, Separation, SeparatorScratch};
 
@@ -66,25 +65,6 @@ impl Interval {
     }
 }
 
-/// Whether ADJUST decides its sibling pairs on worker threads.
-///
-/// The pair decisions of one sweep touch disjoint subtree regions (the
-/// disjointness argument in DESIGN.md §13), so they can be computed
-/// concurrently and applied serially without changing a single output
-/// byte. Parallelism only pays once a sweep carries real work — the
-/// workspace rayon spawns scoped threads per call — hence the default is
-/// size-gated rather than unconditional.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallel {
-    /// Parallel decide above the size thresholds (the default).
-    #[default]
-    Auto,
-    /// Always decide serially.
-    Off,
-    /// Parallel decide on every sweep regardless of size (tests/benches).
-    Force,
-}
-
 /// Tunable switches of the construction, used by the ablation experiments
 /// to quantify how much each mechanism of algorithm X-TREE contributes.
 /// The default enables everything (the paper's algorithm).
@@ -100,8 +80,6 @@ pub struct EmbedOptions {
     /// 4 SPLIT slots + 8 forced children); the capacity ablation (A2)
     /// sweeps it to show where the slack stops mattering.
     pub capacity: u16,
-    /// Parallel ADJUST decide phase (outputs are identical either way).
-    pub parallel: Parallel,
 }
 
 impl Default for EmbedOptions {
@@ -111,7 +89,6 @@ impl Default for EmbedOptions {
             whole_moves: true,
             fine_balance: true,
             capacity: 16,
-            parallel: Parallel::Auto,
         }
     }
 }
@@ -172,10 +149,6 @@ pub struct Theorem1Scratch {
     part2_epoch: u32,
     /// Orientation buffers reused by every serial separator-lemma call.
     pub(crate) sep_scratch: SeparatorScratch,
-    /// Extra orientation buffers for the parallel ADJUST decide phase;
-    /// workers pop one and push it back (the workspace rayon has no
-    /// per-thread init hook).
-    par_pool: Mutex<Vec<SeparatorScratch>>,
     /// Flat CSR adjacency of the guest tree, in exact
     /// [`BinaryTree::neighbors`] order (parent first, then children):
     /// flood sweeps — the build's hottest loop — walk two contiguous
@@ -410,24 +383,6 @@ impl<'t> Builder<'t> {
             self.s.intervals.push(Some(iv));
             (self.s.intervals.len() - 1) as IntId
         }
-    }
-
-    /// One `SeparatorScratch` for a parallel ADJUST worker.
-    pub fn pop_par_scratch(&self) -> SeparatorScratch {
-        self.s
-            .par_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    pub fn push_par_scratch(&self, scr: SeparatorScratch) {
-        self.s
-            .par_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scr);
     }
 
     /// Floods the un-placed component containing `start` (using the current

@@ -1,7 +1,7 @@
 //! Golden-output pinning of the Theorem-1 builder.
 //!
 //! The perf rebuild of the builder interior (SoA attachments, interval
-//! free-list, scratch reuse, parallel ADJUST) promises **byte-identical**
+//! free-list, scratch reuse, two-phase ADJUST) promises **byte-identical**
 //! results. These fingerprints were generated from the pre-refactor
 //! builder; any behavioural drift — a different embedding, trace row,
 //! mass trace, or mechanism counter — changes the FNV hash and fails.

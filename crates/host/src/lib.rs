@@ -7,9 +7,15 @@
 //! X-tree vertex, dilation ≤ 10 relative to a dilation-3 X-tree
 //! embedding). [`Host`] makes all three servable behind one dispatch
 //! point: a CSR view for edge-indexed congestion accumulation, an O(1)
-//! `next_hop` honouring the smallest-id-downhill contract the simulator's
-//! routers are pinned to, an exact `distance`, a degree bound, and a
-//! stable label for the wire protocol and CLI.
+//! `next_hop` honouring the smallest-id-downhill contract the simulator
+//! relies on, an exact `distance`, a degree bound, and a stable label for
+//! the wire protocol and CLI.
+//!
+//! Two more backends share the trait without being servable: [`CbtHost`]
+//! (the complete binary tree, LCA routing) and [`TableHost`], dense BFS
+//! next-hop tables over any connected graph up to [`TABLE_HOST_CAP`]
+//! vertices — both the fallback for irregular hosts (meshes, CCC,
+//! butterflies) and the oracle every closed-form host is tested against.
 //!
 //! The guest side is uniform: [`guest_map`] turns the cached Theorem-1/2
 //! [`XEmbedding`] into a `Vec<u32>` of host vertex ids for any backend
@@ -17,11 +23,14 @@
 //! slots on `G_n`), so the simulation and stats layers never see which
 //! host they are scoring.
 
+use std::fmt;
 use xtree_core::hypercube::lemma3_label;
 use xtree_core::universal::UniversalGraph;
 use xtree_core::XEmbedding;
-use xtree_topology::routing::{hypercube_next_hop, xtree_next_hop};
-use xtree_topology::{analytic_distance, Address, Csr, Graph, Hypercube, XTree};
+use xtree_topology::routing::{cbt_next_hop, hypercube_next_hop, xtree_next_hop};
+use xtree_topology::{
+    analytic_distance, Address, CompleteBinaryTree, Csr, Graph, Hypercube, XTree,
+};
 
 /// Wire/CLI tag for the X-tree backend.
 pub const HOST_XTREE: u8 = 0;
@@ -51,7 +60,7 @@ pub const UNIVERSAL_MAX_HEIGHT: u8 = 10;
 
 /// A routable host topology.
 ///
-/// Contract (shared with `sim`'s routers, proven against BFS tables):
+/// Contract (proven against [`TableHost`]'s BFS tables):
 /// `next_hop(v, dst)` returns `v` when `v == dst` and otherwise the
 /// **smallest-id neighbour of `v` strictly closer to `dst`** — so every
 /// hop decreases `distance` by exactly one and the walk from `v` reaches
@@ -109,15 +118,20 @@ impl<H: Host + ?Sized> Host for &H {
     fn degree_bound(&self) -> u32 {
         (**self).degree_bound()
     }
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
         (**self).next_hop(v, dst)
     }
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
         (**self).distance(v, dst)
     }
 }
 
-/// The X-tree `X(height)` with the closed-form router of PR 1.
+/// The X-tree `X(height)` with closed-form routing: distances from
+/// `analytic_distance`, the hop by probing the ≤ 5 neighbours in
+/// ascending heap-id order for the first one a step closer.
+#[derive(Debug)]
 pub struct XTreeHost {
     xtree: XTree,
 }
@@ -150,6 +164,7 @@ impl Host for XTreeHost {
         5
     }
 
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
         let hop = xtree_next_hop(
             Address::from_heap_id(v as usize),
@@ -159,6 +174,7 @@ impl Host for XTreeHost {
         hop.heap_id() as u32
     }
 
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
         analytic_distance(
             Address::from_heap_id(v as usize),
@@ -167,7 +183,9 @@ impl Host for XTreeHost {
     }
 }
 
-/// The hypercube `Q_dim` — Theorem 3's host when `dim = height + 1`.
+/// The hypercube `Q_dim` — Theorem 3's host when `dim = height + 1` —
+/// with bit-fixing routing (vertex ids are the labels).
+#[derive(Debug)]
 pub struct HypercubeHost {
     cube: Hypercube,
 }
@@ -205,12 +223,209 @@ impl Host for HypercubeHost {
         u32::from(self.cube.dim())
     }
 
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
         hypercube_next_hop(u64::from(v), u64::from(dst)) as u32
     }
 
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
         (v ^ dst).count_ones()
+    }
+}
+
+/// The complete binary tree `B_height` with LCA routing over heap-ordered
+/// ids: toward the destination's ancestor when below it, else up.
+#[derive(Debug)]
+pub struct CbtHost {
+    tree: CompleteBinaryTree,
+}
+
+impl CbtHost {
+    /// Builds `B_height`.
+    pub fn new(height: u8) -> Self {
+        Self {
+            tree: CompleteBinaryTree::new(height),
+        }
+    }
+}
+
+impl Host for CbtHost {
+    fn csr(&self) -> &Csr {
+        self.tree.graph()
+    }
+
+    fn label(&self) -> &'static str {
+        "cbt"
+    }
+
+    fn degree_bound(&self) -> u32 {
+        // Parent and two children.
+        3
+    }
+
+    #[inline]
+    fn next_hop(&self, v: u32, dst: u32) -> u32 {
+        cbt_next_hop(
+            Address::from_heap_id(v as usize),
+            Address::from_heap_id(dst as usize),
+        )
+        .heap_id() as u32
+    }
+
+    #[inline]
+    fn distance(&self, v: u32, dst: u32) -> u32 {
+        Address::from_heap_id(v as usize).tree_distance(Address::from_heap_id(dst as usize))
+    }
+}
+
+/// The largest host [`TableHost`] will build tables for: the two dense
+/// `n²` tables would be ≥ 512 MiB beyond 2^13 vertices.
+pub const TABLE_HOST_CAP: usize = 1 << 13;
+
+/// Why [`TableHost::new`] refused a graph.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TableError {
+    /// The graph is disconnected, so some pair has no route.
+    Disconnected {
+        /// Number of host vertices.
+        vertices: usize,
+        /// Number of connected components found.
+        components: usize,
+    },
+    /// The graph is too large for dense all-pairs tables.
+    TooLarge {
+        /// Number of host vertices.
+        vertices: usize,
+        /// The largest supported vertex count ([`TABLE_HOST_CAP`]).
+        cap: usize,
+    },
+    /// BFS left a vertex with no downhill neighbour toward `to` — a
+    /// broken graph invariant surfaced as data, not a panic.
+    NoDownhill {
+        /// The stuck vertex.
+        at: u32,
+        /// The destination it could not step toward.
+        to: u32,
+    },
+}
+
+impl fmt::Display for TableError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TableError::Disconnected {
+                vertices,
+                components,
+            } => write!(
+                f,
+                "host graph is disconnected ({components} components over {vertices} vertices); \
+                 dense routing tables need a connected host"
+            ),
+            TableError::TooLarge { vertices, cap } => write!(
+                f,
+                "host has {vertices} vertices but dense routing tables support at most {cap}; \
+                 use a structured constructor (AnyHost::xtree/hypercube/cbt)"
+            ),
+            TableError::NoDownhill { at, to } => write!(
+                f,
+                "routing table has no downhill neighbour from {at} toward {to}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TableError {}
+
+/// Any connected graph with dense all-pairs next-hop and distance tables,
+/// one BFS per vertex at construction.
+///
+/// `O(n²)` memory caps it at [`TABLE_HOST_CAP`] vertices. It serves the
+/// irregular hosts (mesh, CCC, butterfly) and is the reference every
+/// closed-form [`Host`] is pinned to: its next hop is by construction the
+/// smallest-id downhill neighbour.
+#[derive(Debug)]
+pub struct TableHost {
+    graph: Csr,
+    /// `next_hop[dst * n + v]` = neighbour of `v` on a shortest path to
+    /// `dst` (`v` itself when `v == dst`).
+    next_hop: Vec<u32>,
+    /// `dist[dst * n + v]` = shortest-path distance.
+    dist: Vec<u32>,
+}
+
+impl TableHost {
+    /// Builds the tables for `graph`.
+    ///
+    /// # Errors
+    /// [`TableError::TooLarge`] beyond [`TABLE_HOST_CAP`] vertices and
+    /// [`TableError::Disconnected`] when some pair cannot reach each other.
+    pub fn new(graph: Csr) -> Result<Self, TableError> {
+        let n = graph.node_count();
+        if n > TABLE_HOST_CAP {
+            return Err(TableError::TooLarge {
+                vertices: n,
+                cap: TABLE_HOST_CAP,
+            });
+        }
+        if !graph.is_connected() {
+            let (_, components) = graph.component_ids();
+            return Err(TableError::Disconnected {
+                vertices: n,
+                components,
+            });
+        }
+        let mut next_hop = vec![0u32; n * n];
+        let mut dist = vec![0u32; n * n];
+        for dst in 0..n {
+            let d = graph.bfs(dst);
+            dist[dst * n..(dst + 1) * n].copy_from_slice(&d);
+            let row_h = &mut next_hop[dst * n..(dst + 1) * n];
+            for v in 0..n {
+                if v == dst {
+                    row_h[v] = v as u32;
+                    continue;
+                }
+                // The smallest-id neighbour that decreases the distance
+                // to dst (neighbour lists are sorted).
+                row_h[v] = *graph
+                    .neighbors(v)
+                    .iter()
+                    .find(|&&w| d[w as usize] + 1 == d[v])
+                    .ok_or(TableError::NoDownhill {
+                        at: v as u32,
+                        to: dst as u32,
+                    })?;
+            }
+        }
+        Ok(TableHost {
+            graph,
+            next_hop,
+            dist,
+        })
+    }
+}
+
+impl Host for TableHost {
+    fn csr(&self) -> &Csr {
+        &self.graph
+    }
+
+    fn label(&self) -> &'static str {
+        "table"
+    }
+
+    fn degree_bound(&self) -> u32 {
+        self.graph.max_degree() as u32
+    }
+
+    #[inline]
+    fn next_hop(&self, v: u32, dst: u32) -> u32 {
+        self.next_hop[dst as usize * self.graph.node_count() + v as usize]
+    }
+
+    #[inline]
+    fn distance(&self, v: u32, dst: u32) -> u32 {
+        self.dist[dst as usize * self.graph.node_count() + v as usize]
     }
 }
 
@@ -225,6 +440,7 @@ impl Host for HypercubeHost {
 /// `a != b` (and 1 inside a group's clique). A precomputed all-pairs BFS
 /// table on `H` therefore gives O(deg) smallest-id-downhill next hops on
 /// `G_n` without ever materialising a `G_n`-sized table.
+#[derive(Debug)]
 pub struct UniversalHost {
     universal: UniversalGraph,
     /// Quotient neighbourhood graph over X-tree vertices.
@@ -345,12 +561,17 @@ impl Host for UniversalHost {
     }
 }
 
-/// Static dispatch over the three backends — one value the serving layer
-/// can build from a wire tag.
+/// Static dispatch over every backend — the one host type the simulator,
+/// the stats and the daemon pass around. The three servable backends are
+/// built from a wire tag by [`AnyHost::for_xtree_height`]; the
+/// constructors below wrap an existing topology.
+#[derive(Debug)]
 pub enum AnyHost {
     XTree(XTreeHost),
     Hypercube(HypercubeHost),
     Universal(UniversalHost),
+    Cbt(CbtHost),
+    Table(TableHost),
 }
 
 impl AnyHost {
@@ -368,55 +589,68 @@ impl AnyHost {
         }
     }
 
-    /// The wire tag of this backend.
-    pub fn tag(&self) -> u8 {
-        match self {
-            AnyHost::XTree(_) => HOST_XTREE,
-            AnyHost::Hypercube(_) => HOST_HYPERCUBE,
-            AnyHost::Universal(_) => HOST_UNIVERSAL,
-        }
+    /// An X-tree host with closed-form routing (no size cap, no tables).
+    pub fn xtree(host: &XTree) -> AnyHost {
+        AnyHost::XTree(XTreeHost {
+            xtree: host.clone(),
+        })
     }
+
+    /// A hypercube host with bit-fixing routing (no size cap, no tables).
+    pub fn hypercube(host: &Hypercube) -> AnyHost {
+        AnyHost::Hypercube(HypercubeHost { cube: host.clone() })
+    }
+
+    /// A complete-binary-tree host with LCA routing (no size cap).
+    pub fn cbt(host: &CompleteBinaryTree) -> AnyHost {
+        AnyHost::Cbt(CbtHost { tree: host.clone() })
+    }
+
+    /// Any connected graph with BFS next-hop tables.
+    ///
+    /// # Errors
+    /// As [`TableHost::new`]: disconnected graphs and graphs beyond
+    /// [`TABLE_HOST_CAP`] vertices (the structured constructors have no
+    /// cap).
+    pub fn table(graph: Csr) -> Result<AnyHost, TableError> {
+        TableHost::new(graph).map(AnyHost::Table)
+    }
+}
+
+/// Forwards each [`Host`] method to the active backend.
+macro_rules! dispatch {
+    ($self:ident, $h:ident => $e:expr) => {
+        match $self {
+            AnyHost::XTree($h) => $e,
+            AnyHost::Hypercube($h) => $e,
+            AnyHost::Universal($h) => $e,
+            AnyHost::Cbt($h) => $e,
+            AnyHost::Table($h) => $e,
+        }
+    };
 }
 
 impl Host for AnyHost {
     fn csr(&self) -> &Csr {
-        match self {
-            AnyHost::XTree(h) => h.csr(),
-            AnyHost::Hypercube(h) => h.csr(),
-            AnyHost::Universal(h) => h.csr(),
-        }
+        dispatch!(self, h => h.csr())
     }
 
     fn label(&self) -> &'static str {
-        match self {
-            AnyHost::XTree(h) => h.label(),
-            AnyHost::Hypercube(h) => h.label(),
-            AnyHost::Universal(h) => h.label(),
-        }
+        dispatch!(self, h => h.label())
     }
 
     fn degree_bound(&self) -> u32 {
-        match self {
-            AnyHost::XTree(h) => h.degree_bound(),
-            AnyHost::Hypercube(h) => h.degree_bound(),
-            AnyHost::Universal(h) => h.degree_bound(),
-        }
+        dispatch!(self, h => h.degree_bound())
     }
 
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
-        match self {
-            AnyHost::XTree(h) => h.next_hop(v, dst),
-            AnyHost::Hypercube(h) => h.next_hop(v, dst),
-            AnyHost::Universal(h) => h.next_hop(v, dst),
-        }
+        dispatch!(self, h => h.next_hop(v, dst))
     }
 
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
-        match self {
-            AnyHost::XTree(h) => h.distance(v, dst),
-            AnyHost::Hypercube(h) => h.distance(v, dst),
-            AnyHost::Universal(h) => h.distance(v, dst),
-        }
+        dispatch!(self, h => h.distance(v, dst))
     }
 }
 
@@ -499,6 +733,198 @@ mod tests {
         hops
     }
 
+    /// Full next-hop and distance equality with the BFS table built from
+    /// the host's own CSR, over every (v, dst) pair.
+    fn assert_matches_table<H: Host>(host: &H) {
+        let table = TableHost::new(host.csr().clone()).unwrap();
+        for v in host.vertices() {
+            for dst in host.vertices() {
+                assert_eq!(
+                    host.distance(v, dst),
+                    table.distance(v, dst),
+                    "{}: distance {v} -> {dst}",
+                    host.label()
+                );
+                assert_eq!(
+                    host.next_hop(v, dst),
+                    table.next_hop(v, dst),
+                    "{}: next hop {v} -> {dst}",
+                    host.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn xtree_host_equals_table() {
+        for r in 0..=5u8 {
+            assert_matches_table(&XTreeHost::new(r));
+        }
+    }
+
+    #[test]
+    fn hypercube_host_equals_table() {
+        for d in 0..=6u8 {
+            assert_matches_table(&HypercubeHost::new(d));
+        }
+    }
+
+    #[test]
+    fn cbt_host_equals_table() {
+        for r in 0..=5u8 {
+            assert_matches_table(&CbtHost::new(r));
+        }
+    }
+
+    #[test]
+    fn table_host_reports_bad_hosts_as_errors() {
+        let disconnected = Csr::from_edges(4, &[(0, 1), (2, 3)]);
+        assert_eq!(
+            TableHost::new(disconnected).unwrap_err(),
+            TableError::Disconnected {
+                vertices: 4,
+                components: 2
+            }
+        );
+        let big = XTree::new(14);
+        assert_eq!(
+            TableHost::new(big.graph().clone()).unwrap_err(),
+            TableError::TooLarge {
+                vertices: big.graph().node_count(),
+                cap: TABLE_HOST_CAP
+            }
+        );
+    }
+
+    #[test]
+    fn table_errors_display_their_cause() {
+        for (e, needle) in [
+            (
+                TableError::Disconnected {
+                    vertices: 8,
+                    components: 2,
+                },
+                "disconnected",
+            ),
+            (
+                TableError::TooLarge {
+                    vertices: 1 << 20,
+                    cap: 1 << 13,
+                },
+                "AnyHost::xtree",
+            ),
+            (TableError::NoDownhill { at: 3, to: 9 }, "downhill"),
+        ] {
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+    }
+
+    #[test]
+    fn xtree_host_scales_past_the_table_cap() {
+        // Heights > 13 are exactly what the dense table could not hold.
+        let host = XTreeHost::new(20);
+        let n = host.node_count() as u32;
+        assert_eq!(n, (1u32 << 21) - 1);
+        let (mut at, dst) = (n - 1, n / 2);
+        let mut hops = 0;
+        while at != dst {
+            let next = host.next_hop(at, dst);
+            assert_eq!(host.distance(next, dst) + 1, host.distance(at, dst));
+            at = next;
+            hops += 1;
+        }
+        assert_eq!(hops, host.distance(n - 1, dst));
+    }
+
+    #[test]
+    fn any_host_routes_follow_shortest_paths() {
+        let x = XTree::new(4);
+        for net in [
+            AnyHost::table(x.graph().clone()).unwrap(),
+            AnyHost::xtree(&x),
+        ] {
+            let n = net.node_count() as u32;
+            for v in 0..n {
+                for dst in (0..n).step_by(3) {
+                    let mut cur = v;
+                    let mut hops = 0;
+                    while cur != dst {
+                        cur = net.next_hop(cur, dst);
+                        hops += 1;
+                        assert!(hops <= n, "routing loop");
+                    }
+                    assert_eq!(hops, net.distance(v, dst), "{v} -> {dst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_host_structured_constructors_agree_with_tables() {
+        let x = XTree::new(4);
+        let (table, fast) = (
+            AnyHost::table(x.graph().clone()).unwrap(),
+            AnyHost::xtree(&x),
+        );
+        for v in table.vertices() {
+            for dst in table.vertices() {
+                assert_eq!(table.next_hop(v, dst), fast.next_hop(v, dst));
+                assert_eq!(table.distance(v, dst), fast.distance(v, dst));
+            }
+        }
+    }
+
+    #[test]
+    fn any_host_hypercube_distances_match_hamming() {
+        let q = Hypercube::new(5);
+        for net in [
+            AnyHost::table(q.graph().clone()).unwrap(),
+            AnyHost::hypercube(&q),
+        ] {
+            for v in 0..32u32 {
+                for dst in 0..32u32 {
+                    assert_eq!(net.distance(v, dst), (v ^ dst).count_ones());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_host_xtree_beyond_the_table_cap() {
+        // X(14) has 32767 vertices — AnyHost::table would refuse it.
+        let net = AnyHost::xtree(&XTree::new(14));
+        assert!(net.node_count() > TABLE_HOST_CAP);
+        let far = net.node_count() as u32 - 1;
+        assert_eq!(net.distance(far, far), 0);
+        let hop = net.next_hop(far, 0);
+        assert_eq!(net.distance(hop, 0) + 1, net.distance(far, 0));
+    }
+
+    #[test]
+    fn any_host_table_vertex_count() {
+        let empty = AnyHost::table(Csr::from_edges(0, &[])).unwrap();
+        assert_eq!(empty.node_count(), 0);
+        let edge = AnyHost::table(Csr::from_edges(2, &[(0, 1)])).unwrap();
+        assert_eq!(edge.node_count(), 2);
+    }
+
+    #[test]
+    fn any_host_table_rejects_bad_hosts_with_errors() {
+        let g = Csr::from_edges(4, &[(0, 1), (2, 3)]);
+        assert_eq!(
+            AnyHost::table(g).unwrap_err(),
+            TableError::Disconnected {
+                vertices: 4,
+                components: 2
+            }
+        );
+        // 32767 vertices, past the table cap.
+        assert!(matches!(
+            AnyHost::table(XTree::new(14).graph().clone()),
+            Err(TableError::TooLarge { .. })
+        ));
+    }
+
     #[test]
     fn labels_and_tags_round_trip() {
         for (tag, &label) in HOST_LABELS.iter().enumerate() {
@@ -567,7 +993,6 @@ mod tests {
     fn any_host_dispatches_by_tag() {
         for tag in 0..3u8 {
             let host = AnyHost::for_xtree_height(tag, 3).expect("known tag");
-            assert_eq!(host.tag(), tag);
             assert_eq!(Some(host.label()), host_label(tag));
             assert!(host.node_count() > 0);
         }

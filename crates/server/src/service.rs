@@ -22,9 +22,7 @@ use xtree_core::theorem1::{EmbedOptions, Theorem1Scratch};
 use xtree_core::{evaluate, metrics::edge_congestion, theorem1, theorem2, XEmbedding};
 use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_XTREE};
 use xtree_sim::workload::WORKLOADS;
-use xtree_sim::{
-    compute_load, congestion, simulate_all_with, simulate_one_with, Network, SimReport,
-};
+use xtree_sim::{compute_load, congestion, simulate_all_with, simulate_one_with, SimReport};
 use xtree_topology::XTree;
 use xtree_trees::{BinaryTree, TreeFamily};
 
@@ -123,9 +121,9 @@ fn wire_report(r: &SimReport) -> WireReport {
     }
 }
 
-/// Resolves the servable host backend for a non-X-tree request, or the
-/// typed rejection when the tag is unknown / the backend is unavailable at
-/// this height (the universal graph's BFS table is capped).
+/// Resolves the servable host backend for a request, or the typed
+/// rejection when the tag is unknown / the backend is unavailable at this
+/// height (the universal graph's BFS table is capped).
 fn host_net(host: u8, height: u8) -> Result<AnyHost, Response> {
     AnyHost::for_xtree_height(host, height).ok_or_else(|| match host_label(host) {
         Some(label) => bad(format!(
@@ -244,27 +242,17 @@ pub fn handle_compute(
                 Ok(e) => e,
                 Err(resp) => return resp,
             };
+            let net = match host_net(host, emb.height) {
+                Ok(n) => n,
+                Err(resp) => return resp,
+            };
+            let map = guest_map(host, &emb).expect("tag validated by host_net");
             let mut sink = &metrics.sim;
-            let reports = if host == HOST_XTREE {
-                let net = Network::xtree(&XTree::new(emb.height));
-                if workload == WORKLOAD_ALL {
-                    simulate_all_with(&net, &tree, &*emb, &mut sink)
-                } else {
-                    simulate_one_with(&net, &tree, &*emb, usize::from(workload), &mut sink)
-                        .map(|r| vec![r])
-                }
+            let reports = if workload == WORKLOAD_ALL {
+                simulate_all_with(&net, &tree, &map, &mut sink)
             } else {
-                let net = match host_net(host, emb.height) {
-                    Ok(n) => n,
-                    Err(resp) => return resp,
-                };
-                let map = guest_map(host, &emb).expect("tag validated by host_net");
-                if workload == WORKLOAD_ALL {
-                    simulate_all_with(&net, &tree, &map, &mut sink)
-                } else {
-                    simulate_one_with(&net, &tree, &map, usize::from(workload), &mut sink)
-                        .map(|r| vec![r])
-                }
+                simulate_one_with(&net, &tree, &map, usize::from(workload), &mut sink)
+                    .map(|r| vec![r])
             };
             match reports {
                 Ok(reports) => Response::SimulateOk {

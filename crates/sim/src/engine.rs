@@ -659,18 +659,18 @@ pub fn total_cycles(stats: &[BatchStats]) -> u32 {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultState, DEFAULT_MAX_IDLE_WAIT};
-    use crate::network::Network;
+    use crate::Network;
     use xtree_topology::{Csr, Graph, XTree};
 
     fn path_net(n: usize) -> Network {
         let edges: Vec<_> = (1..n as u32).map(|v| (v - 1, v)).collect();
-        Network::new(Csr::from_edges(n, &edges)).unwrap()
+        Network::table(Csr::from_edges(n, &edges)).unwrap()
     }
 
     fn cycle_net(n: usize) -> Network {
         let mut edges: Vec<_> = (1..n as u32).map(|v| (v - 1, v)).collect();
         edges.push((0, n as u32 - 1));
-        Network::new(Csr::from_edges(n, &edges)).unwrap()
+        Network::table(Csr::from_edges(n, &edges)).unwrap()
     }
 
     /// The pre-optimisation engine, verbatim: hash maps keyed by vertex
@@ -814,7 +814,10 @@ mod tests {
         // rewritten engine must reproduce the reference engine's stats
         // bit for bit, with the engine reused across batches.
         let x = XTree::new(5);
-        let nets = [Network::xtree(&x), Network::new(x.graph().clone()).unwrap()];
+        let nets = [
+            Network::xtree(&x),
+            Network::table(x.graph().clone()).unwrap(),
+        ];
         let n = x.graph().node_count() as u64;
         let mut engine = Engine::new();
         for net in &nets {
@@ -869,7 +872,7 @@ mod tests {
             })
             .collect();
         let plain = run_batch(&net, &msgs).unwrap();
-        let mut faults = FaultState::new(net.graph(), FaultPlan::new()).unwrap();
+        let mut faults = FaultState::new(net.csr(), FaultPlan::new()).unwrap();
         let out = Engine::new()
             .run_batch_faulted(&net, &msgs, &mut faults)
             .unwrap();
@@ -882,7 +885,7 @@ mod tests {
         // other way round the ring, 5 hops.
         let net = cycle_net(6);
         let plan = FaultPlan::new().link_down(0, 0, 1);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let out = Engine::new()
             .run_batch_faulted(&net, &[Message { src: 0, dst: 1 }], &mut faults)
             .unwrap();
@@ -900,7 +903,7 @@ mod tests {
         // near 5 hops because re-routing happens on the repair epoch.
         let net = cycle_net(6);
         let plan = FaultPlan::new().link_down(0, 0, 1).link_up(2, 0, 1);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let out = Engine::new()
             .run_batch_faulted(&net, &[Message { src: 0, dst: 1 }], &mut faults)
             .unwrap();
@@ -920,7 +923,7 @@ mod tests {
         // are stranded, and the engine proves it without hanging.
         let net = path_net(4);
         let plan = FaultPlan::new().link_down(0, 1, 2);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let msgs = [
             Message { src: 0, dst: 3 },
             Message { src: 0, dst: 1 },
@@ -941,7 +944,7 @@ mod tests {
     fn node_down_strands_messages_to_and_from_it() {
         let net = path_net(4);
         let plan = FaultPlan::new().node_down(0, 1);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let msgs = [
             Message { src: 0, dst: 1 }, // into the dead node
             Message { src: 1, dst: 3 }, // frozen at the dead node
@@ -964,7 +967,7 @@ mod tests {
         let net = path_net(4);
         let never = DEFAULT_MAX_IDLE_WAIT * 40; // far past the patience
         let plan = FaultPlan::new().link_down(0, 1, 2).link_up(never, 1, 2);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let msgs = [Message { src: 0, dst: 3 }];
         let out = Engine::new()
             .run_batch_faulted(&net, &msgs, &mut faults)
@@ -997,7 +1000,7 @@ mod tests {
         let net = path_net(4);
         let repair_at = 100_000;
         let plan = FaultPlan::new().link_down(0, 1, 2).link_up(repair_at, 1, 2);
-        let mut faults = FaultState::new(net.graph(), plan)
+        let mut faults = FaultState::new(net.csr(), plan)
             .unwrap()
             .with_max_idle_wait(repair_at + 1);
         let msgs = [Message { src: 0, dst: 3 }];
@@ -1017,7 +1020,7 @@ mod tests {
         // fault clock, so round 2 sees the healed network.
         let net = cycle_net(6);
         let plan = FaultPlan::new().link_down(0, 0, 1).link_up(5, 0, 1);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let rounds = vec![
             vec![Message { src: 0, dst: 1 }], // detours: 5 cycles
             vec![Message { src: 0, dst: 1 }], // healed: 1 cycle
@@ -1032,8 +1035,7 @@ mod tests {
     fn fault_state_rejects_a_mismatched_host() {
         let net = path_net(4);
         let other = cycle_net(8);
-        let mut faults =
-            FaultState::new(other.graph(), FaultPlan::new().link_down(0, 0, 1)).unwrap();
+        let mut faults = FaultState::new(other.csr(), FaultPlan::new().link_down(0, 0, 1)).unwrap();
         let err = Engine::new()
             .run_batch_faulted(&net, &[Message { src: 0, dst: 3 }], &mut faults)
             .unwrap_err();

@@ -7,25 +7,14 @@
 //! returns [`SimError`] instead.
 
 use std::fmt;
+use xtree_host::TableError;
 
 /// Everything that can go wrong while building or driving a simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// The host graph is disconnected, so a dense next-hop table (which
-    /// requires every pair to be routable) cannot be built.
-    Disconnected {
-        /// Number of host vertices.
-        vertices: usize,
-        /// Number of connected components found.
-        components: usize,
-    },
-    /// The host is too large for a dense all-pairs routing table.
-    HostTooLarge {
-        /// Number of host vertices.
-        vertices: usize,
-        /// The largest supported vertex count.
-        cap: usize,
-    },
+    /// Dense routing tables could not be built for the host graph
+    /// (disconnected, or beyond the 2^13-vertex table cap).
+    Table(TableError),
     /// A router proposed a next hop that is not a neighbour of the current
     /// vertex — a routing-strategy bug surfaced as data, not a panic.
     RouterInvariant {
@@ -65,19 +54,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Disconnected {
-                vertices,
-                components,
-            } => write!(
-                f,
-                "host graph is disconnected ({components} components over {vertices} vertices); \
-                 dense routing tables need a connected host"
-            ),
-            SimError::HostTooLarge { vertices, cap } => write!(
-                f,
-                "host has {vertices} vertices but dense routing tables support at most {cap}; \
-                 use a structured constructor (Network::xtree/hypercube/cbt)"
-            ),
+            SimError::Table(e) => e.fmt(f),
             SimError::RouterInvariant { at, to } => write!(
                 f,
                 "router returned non-neighbour {to} as the next hop from {at}"
@@ -98,6 +75,12 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+impl From<TableError> for SimError {
+    fn from(e: TableError) -> Self {
+        SimError::Table(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,17 +89,19 @@ mod tests {
     fn displays_are_descriptive() {
         let cases: Vec<(SimError, &str)> = vec![
             (
-                SimError::Disconnected {
+                TableError::Disconnected {
                     vertices: 8,
                     components: 2,
-                },
+                }
+                .into(),
                 "disconnected",
             ),
             (
-                SimError::HostTooLarge {
+                TableError::TooLarge {
                     vertices: 1 << 20,
                     cap: 1 << 13,
-                },
+                }
+                .into(),
                 "at most",
             ),
             (SimError::RouterInvariant { at: 3, to: 9 }, "non-neighbour"),

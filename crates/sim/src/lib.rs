@@ -3,9 +3,12 @@
 //! dilation corresponds to the number of clock cycles needed in the X-tree
 //! network to communicate between formerly adjacent processors".
 //!
-//! * [`network::Network`] — any connected host with next-hop routing;
-//! * [`router`] — per-topology `O(1)`-memory routing strategies (X-tree,
-//!   hypercube, complete binary tree) plus the dense BFS-table fallback;
+//! * [`Network`] — the host a simulation runs on: an alias of
+//!   [`xtree_host::AnyHost`], whose backends route in closed form (X-tree,
+//!   hypercube, complete binary tree, Theorem 4's `G_n`) or through dense
+//!   BFS tables for irregular graphs. Every backend picks the same next
+//!   hop, the smallest-id neighbour one step closer, so results never
+//!   depend on the constructor used;
 //! * [`workload`] — broadcast / reduce / exchange / divide-and-conquer
 //!   message rounds derived from a guest tree and an embedding;
 //! * [`engine`] — cycle-accurate delivery with per-link contention, with
@@ -31,9 +34,7 @@ pub mod checkpoint;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod network;
 pub mod recovery;
-pub mod router;
 pub mod session;
 pub mod stats;
 pub mod workload;
@@ -44,12 +45,10 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, DEFAULT_MAX_IDLE_WAIT};
-pub use network::Network;
 pub use recovery::{
     recover_batch, recover_batch_with, AttemptStats, Backoff, RecoveryEnd, RecoveryOutcome,
     RecoveryPolicy, RepairableHost,
 };
-pub use router::Router;
 pub use session::{RecoveryTotals, Session, SessionSnapshot, SessionStatus};
 pub use stats::{
     compute_load, congestion, simulate_all, simulate_all_faulted, simulate_all_faulted_with,
@@ -61,3 +60,9 @@ pub use xtree_host as host;
 pub use xtree_host::{AnyHost, Host, HypercubeHost, UniversalHost, XTreeHost};
 pub use xtree_telemetry as telemetry;
 pub use xtree_telemetry::{AtomicCounters, Event, MetricsSink, NopSink, Sink, Tee, TraceRecorder};
+
+/// The host network a simulation runs on. Build one with
+/// `Network::xtree`, `Network::hypercube`, `Network::cbt` (closed-form
+/// routing, no size cap) or `Network::table` (BFS tables, up to 2^13
+/// vertices), or from a wire tag with `AnyHost::for_xtree_height`.
+pub type Network = AnyHost;

@@ -25,11 +25,12 @@
 use crate::engine::{BatchOutcome, Engine};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
-use crate::network::Network;
 use crate::recovery::{recover_batch_with, RecoveryEnd, RecoveryPolicy, RepairableHost};
 use crate::stats::FaultSimReport;
 use crate::workload::{rounds_for, WORKLOADS};
+use crate::Network;
 use xtree_core::XEmbedding;
+use xtree_host::Host;
 use xtree_telemetry::varint::{decode_u64, encode_u64};
 use xtree_telemetry::Sink;
 use xtree_trees::BinaryTree;
@@ -168,7 +169,7 @@ impl<'a, M: RepairableHost> Session<'a, M> {
             if self.faults.is_none() {
                 // Each workload replays the damage schedule from cycle 0,
                 // matching `simulate_all_faulted_with`.
-                self.faults = Some(FaultState::new(self.net.graph(), self.plan.clone())?);
+                self.faults = Some(FaultState::new(self.net.csr(), self.plan.clone())?);
             }
             let faults = self.faults.as_mut().expect("initialised above");
             match &self.policy {
@@ -356,12 +357,12 @@ impl<'a> Session<'a, XEmbedding> {
         let round_idx = snap_word(bytes, &mut pos)? as usize;
         let faults = match snap_word(bytes, &mut pos)? {
             0 => None,
-            _ => Some(FaultState::decode(net.graph(), bytes, &mut pos)?),
+            _ => Some(FaultState::decode(net.csr(), bytes, &mut pos)?),
         };
         let plan = FaultPlan::decode(bytes, &mut pos)?;
         // Validate the plan against this host even when no fault state was
         // in flight (later workloads will bind it).
-        FaultState::new(net.graph(), plan.clone())?;
+        FaultState::new(net.csr(), plan.clone())?;
         let n_completed = snap_word(bytes, &mut pos)? as usize;
         if n_completed > WORKLOADS.len() {
             return Err(SimError::BadCheckpoint {
@@ -426,7 +427,7 @@ mod tests {
     #[test]
     fn unsupervised_session_matches_simulate_all_faulted() {
         let (net, tree, emb) = setup(4);
-        let n = net.graph().node_count() as u32;
+        let n = net.csr().node_count() as u32;
         let plan =
             FaultPlan::new()
                 .link_down(0, (n - 2) / 2, n - 2)

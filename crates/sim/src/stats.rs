@@ -45,10 +45,14 @@ fn summarise(workload: &'static str, stats: &[BatchStats]) -> SimReport {
 }
 
 /// Edge congestion of an embedding on an arbitrary host: route every guest
-/// edge along the network's deterministic shortest path and count crossings
-/// per directed link, returning the maximum. Works for any [`Host`]
-/// (X-tree, hypercube, universal graph, mesh, …), complementing the
-/// X-tree-specific `xtree_core::metrics::edge_congestion`.
+/// edge along the host's deterministic shortest path and count crossings
+/// per *directed* link, returning the maximum. Works for any [`Host`]
+/// (X-tree, hypercube, universal graph, mesh, …).
+///
+/// On the X-tree, `xtree_core::metrics::edge_congestion` walks the same
+/// routes but merges both directions of each edge, so its value lies
+/// between this one and twice it (a 2032-node path: 4 here, 7 there).
+/// [`weighted_congestion`] with all-ones demand equals this count.
 ///
 /// # Errors
 /// [`SimError::RouterInvariant`] if the network's router proposes a
@@ -373,7 +377,7 @@ pub fn sweep_counted<H: Host + Sync, M: workload::HostMap + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
+    use crate::Network;
     use xtree_core::metrics::heap_order_embedding;
     use xtree_topology::{Graph, XTree};
     use xtree_trees::generate;
@@ -383,7 +387,7 @@ mod tests {
         // Heap-order embedding of the complete tree: every message is one
         // hop on its own link, so cycles == rounds == ideal.
         let x = XTree::new(4);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::left_complete(31);
         let e = heap_order_embedding(&t, 4);
         let reports = simulate_all(&net, &t, &e).unwrap();
@@ -396,7 +400,7 @@ mod tests {
     #[test]
     fn congestion_on_identity_is_one() {
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::left_complete(15);
         let e = heap_order_embedding(&t, 3);
         assert_eq!(congestion(&net, &t, &e).unwrap(), 1);
@@ -407,7 +411,7 @@ mod tests {
         // A path guest embedded in heap order funnels many edges through
         // the upper links.
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::path(15);
         let e = heap_order_embedding(&t, 3);
         assert!(congestion(&net, &t, &e).unwrap() >= 2);
@@ -419,7 +423,7 @@ mod tests {
         // plain congestion score, for every family and both host sizes.
         for r in [3u8, 4] {
             let x = XTree::new(r);
-            let net = Network::new(x.graph().clone()).unwrap();
+            let net = Network::table(x.graph().clone()).unwrap();
             for family in xtree_trees::TreeFamily::ALL {
                 let t = family.generate_seeded(generate::theorem1_size(r) / 16, 77);
                 let e = heap_order_embedding(&t, r);
@@ -436,7 +440,7 @@ mod tests {
     #[test]
     fn weighted_congestion_scales_with_demand() {
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::path(15);
         let e = heap_order_embedding(&t, 3);
         let ones = vec![1u64; t.len()];
@@ -452,7 +456,7 @@ mod tests {
         // Put all the demand on one deep edge: the weighted score must
         // track that edge's path, not the structurally hottest link.
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::path(15);
         let e = heap_order_embedding(&t, 3);
         let mut demand = vec![1u64; t.len()];
@@ -464,7 +468,7 @@ mod tests {
     #[test]
     fn compute_load_matches_embedding_load() {
         let x = XTree::new(2);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::path(7);
         let e = heap_order_embedding(&t, 2);
         assert_eq!(compute_load(&net, &t, &e), 1);
@@ -473,7 +477,7 @@ mod tests {
     #[test]
     fn step_report_totals() {
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::left_complete(15);
         let e = heap_order_embedding(&t, 3);
         let step = simulate_step(&net, &t, &e).unwrap();
@@ -485,7 +489,7 @@ mod tests {
     #[test]
     fn sweep_matches_sequential() {
         let x = XTree::new(3);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let cases: Vec<_> = (0..4)
             .map(|i| {
                 let t = generate::caterpillar(10 + i);
@@ -502,7 +506,7 @@ mod tests {
     #[test]
     fn faulted_run_with_empty_plan_matches_fault_free_reports() {
         let x = XTree::new(4);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::left_complete(31);
         let e = heap_order_embedding(&t, 4);
         let plain = simulate_all(&net, &t, &e).unwrap();
@@ -524,7 +528,7 @@ mod tests {
         // the survivor graph connected, so everything still arrives — some
         // of it via detours.
         let x = XTree::new(4);
-        let net = Network::new(x.graph().clone()).unwrap();
+        let net = Network::table(x.graph().clone()).unwrap();
         let t = generate::left_complete(31);
         let e = heap_order_embedding(&t, 4);
         let n = x.graph().node_count() as u32;

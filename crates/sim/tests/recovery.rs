@@ -11,7 +11,7 @@ use xtree_sim::telemetry::TraceRecorder;
 use xtree_sim::workload::exchange_round;
 use xtree_sim::{
     decode_checkpoint, encode_checkpoint, recover_batch, Checkpoint, Engine, FaultPlan, FaultState,
-    Network, RecoveryPolicy, RepairableHost, Session,
+    Host, Network, RecoveryPolicy, RepairableHost, Session,
 };
 use xtree_topology::{Graph, XTree};
 use xtree_trees::generate;
@@ -30,9 +30,9 @@ fn x10_node_faults_heal_to_full_delivery() {
     let batch = exchange_round(&tree, &emb0);
     // Seed 5 kills ~20 vertices inside the fault window and strands 22
     // messages without supervision (pinned by the assertion below).
-    let plan = FaultPlan::random_nodes(net.graph(), 0.01, 5, 16).unwrap();
+    let plan = FaultPlan::random_nodes(net.csr(), 0.01, 5, 16).unwrap();
 
-    let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+    let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
     let mut engine = Engine::new();
     let bare = engine.run_batch_faulted(&net, &batch, &mut faults).unwrap();
     assert!(
@@ -41,7 +41,7 @@ fn x10_node_faults_heal_to_full_delivery() {
     );
 
     let policy = RecoveryPolicy::default();
-    let mut faults = FaultState::new(net.graph(), plan).unwrap();
+    let mut faults = FaultState::new(net.csr(), plan).unwrap();
     let mut emb = emb0;
     let mut engine = Engine::new();
     let out = recover_batch(
@@ -81,20 +81,20 @@ fn temporarily_cut_vertex_recovers_once_links_return() {
     let tree = generate::left_complete(x.node_count());
     let emb0 = heap_order_embedding(&tree, 6);
     let batch = exchange_round(&tree, &emb0);
-    let victim = net.graph().node_count() as u32 - 1;
+    let victim = net.csr().node_count() as u32 - 1;
     let mut plan = FaultPlan::new();
-    for w in net.graph().out_edges(victim as usize).map(|(_, w)| w) {
+    for w in net.csr().out_edges(victim as usize).map(|(_, w)| w) {
         plan = plan.link_down(0, victim, w).link_up(60, victim, w);
     }
 
-    let mut faults = FaultState::new(net.graph(), plan.clone())
+    let mut faults = FaultState::new(net.csr(), plan.clone())
         .unwrap()
         .with_max_idle_wait(16);
     let mut engine = Engine::new();
     let bare = engine.run_batch_faulted(&net, &batch, &mut faults).unwrap();
     assert!(!bare.delivered_all(), "the cut vertex must strand messages");
 
-    let mut faults = FaultState::new(net.graph(), plan)
+    let mut faults = FaultState::new(net.csr(), plan)
         .unwrap()
         .with_max_idle_wait(16);
     let mut emb = emb0;
@@ -128,7 +128,7 @@ fn checkpoint_restore_traces_byte_identically() {
     let net = Network::xtree(&x);
     let tree = generate::left_complete(x.node_count());
     let emb = heap_order_embedding(&tree, 3);
-    let victim = net.graph().node_count() as u32 - 1;
+    let victim = net.csr().node_count() as u32 - 1;
     let plan = FaultPlan::new()
         .node_down(1, victim)
         .node_down(2, victim / 2);

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use xtree_sim::telemetry::{read_trace, Event, MetricsSink, Tee, TraceRecorder};
-use xtree_sim::{Engine, FaultPlan, FaultState, Message, Network};
+use xtree_sim::{Engine, FaultPlan, FaultState, Host, Message, Network};
 use xtree_topology::{Graph, XTree};
 
 fn messages(n: u32, picks: &[(u32, u32)]) -> Vec<Message> {
@@ -33,7 +33,7 @@ fn traced_faulted_run(
     plan: &FaultPlan,
 ) -> (TraceRecorder, xtree_sim::BatchOutcome) {
     let mut rec = TraceRecorder::new();
-    let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+    let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
     let out = Engine::new()
         .run_batch_faulted_with(net, msgs, &mut faults, &mut rec)
         .unwrap();
@@ -78,7 +78,7 @@ proptest! {
         let x = XTree::new(size);
         let net = Network::xtree(&x);
         let msgs = messages(x.node_count() as u32, &msg_picks);
-        let plan = FaultPlan::random_links(net.graph(), 0.15, seed, 6, Some(3)).unwrap();
+        let plan = FaultPlan::random_links(net.csr(), 0.15, seed, 6, Some(3)).unwrap();
         let (rec_a, out_a) = traced_faulted_run(&net, &msgs, &plan);
         let (rec_b, out_b) = traced_faulted_run(&net, &msgs, &plan);
         prop_assert_eq!(out_a, out_b);
@@ -118,8 +118,8 @@ proptest! {
         prop_assert_eq!(met.counters().hops, plain.total_hops);
 
         // Faulted: same check through the survivor path.
-        let plan = FaultPlan::random_links(net.graph(), 0.2, seed, 6, Some(3)).unwrap();
-        let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+        let plan = FaultPlan::random_links(net.csr(), 0.2, seed, 6, Some(3)).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
         let out_plain = Engine::new().run_batch_faulted(&net, &msgs, &mut faults).unwrap();
         let (_, out_traced) = traced_faulted_run(&net, &msgs, &plan);
         prop_assert_eq!(out_plain, out_traced);
@@ -146,7 +146,7 @@ fn faulted_x10_fixed_seed_replays_byte_for_byte() {
             dst: (rand() % n) as u32,
         })
         .collect();
-    let plan = FaultPlan::random_links(net.graph(), 0.05, 0xFA17, 32, Some(16)).unwrap();
+    let plan = FaultPlan::random_links(net.csr(), 0.05, 0xFA17, 32, Some(16)).unwrap();
     let (rec_a, out_a) = traced_faulted_run(&net, &msgs, &plan);
     let (rec_b, out_b) = traced_faulted_run(&net, &msgs, &plan);
     assert_eq!(out_a, out_b);
@@ -169,7 +169,7 @@ fn counted_sweep_matches_uncounted_and_tallies_hops() {
     use xtree_trees::generate;
 
     let x = XTree::new(3);
-    let net = Network::new(x.graph().clone()).unwrap();
+    let net = Network::table(x.graph().clone()).unwrap();
     let cases: Vec<_> = (0..4)
         .map(|i| {
             let t = generate::caterpillar(10 + i);

@@ -12,7 +12,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree::core::{baseline, evaluate, theorem1};
-use xtree::sim::{run_rounds, workload, Network};
+use xtree::sim::{run_rounds, workload, Host, Network};
 use xtree::topology::XTree;
 use xtree::trees::{theorem1_size, TreeFamily};
 
@@ -26,7 +26,7 @@ fn main() {
 
     let host = XTree::new(r);
     let net = Network::xtree(&host);
-    println!("host: X({r}) with {} processors\n", net.len());
+    println!("host: X({r}) with {} processors\n", net.node_count());
 
     let candidates = [
         ("theorem-1", theorem1::embed(&tree).emb),

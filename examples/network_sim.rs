@@ -11,7 +11,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree::core::{hypercube, theorem1};
-use xtree::sim::{simulate_all, Network};
+use xtree::sim::{simulate_all, Host, Network};
 use xtree::topology::{Butterfly, CubeConnectedCycles, Graph, Hypercube, XTree};
 use xtree::trees::{theorem3_size, TreeFamily};
 
@@ -66,14 +66,18 @@ fn main() {
     let t1 = theorem1::embed(&tree);
     let xh = XTree::new(t1.emb.height);
     let xnet = Network::xtree(&xh);
-    println!("on X({}) [{} processors]:", t1.emb.height, xnet.len());
+    println!(
+        "on X({}) [{} processors]:",
+        t1.emb.height,
+        xnet.node_count()
+    );
     print_reports(&simulate_all(&xnet, &tree, &t1.emb).expect("simulation failed"));
 
     // Hypercube route (Theorem 3).
     let qemb = hypercube::embed_theorem3(&tree);
     let qh = Hypercube::new(qemb.dim);
     let qnet = Network::hypercube(&qh);
-    println!("\non Q_{} [{} processors]:", qemb.dim, qnet.len());
+    println!("\non Q_{} [{} processors]:", qemb.dim, qnet.node_count());
     print_reports(&simulate_all(&qnet, &tree, &qemb).expect("simulation failed"));
 
     println!("\nboth hosts run the tree program within a small constant of the ideal ✓");

@@ -16,7 +16,7 @@ fn exchange_cycles_bounded_by_dilation_times_congestion() {
     let emb = theorem1::embed(&tree).emb;
     let stats = evaluate(&tree, &emb);
     let host = XTree::new(r);
-    let net = Network::new(host.graph().clone()).unwrap();
+    let net = Network::table(host.graph().clone()).unwrap();
 
     let batch = run_rounds(&net, &[workload::exchange_round(&tree, &emb)]).unwrap();
     let ex = &batch[0];
@@ -40,7 +40,7 @@ fn broadcast_on_xtree_close_to_ideal() {
         let tree = family.generate(theorem1_size(4), &mut rng);
         let emb = theorem1::embed(&tree).emb;
         let host = XTree::new(4);
-        let net = Network::new(host.graph().clone()).unwrap();
+        let net = Network::table(host.graph().clone()).unwrap();
         let reports = simulate_all(&net, &tree, &emb).unwrap();
         let bc = reports.iter().find(|r| r.workload == "broadcast").unwrap();
         assert!(
